@@ -55,9 +55,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base")
     parser.add_argument("head", nargs="?")
-    parser.add_argument("--benchmark", default=str(BENCHMARK))
     args = parser.parse_args(argv)
-    spec = json.loads(Path(args.benchmark).read_text())
+    spec = json.loads(BENCHMARK.read_text())
     metrics = spec["end_to_end"]
     sides = [load(args.base)] + ([load(args.head)] if args.head else [])
     status = 0

@@ -72,13 +72,17 @@ class CallTimer:
 class GcPauses:
     """Count and time generation-2 collections while installed."""
 
+    #: true while the benchmark collects between timed regions; those
+    #: collections are not counted
+    explicit = False
+
     def __init__(self) -> None:
         self.collections = 0
         self.pause_s = 0.0
         self._started = None
 
     def __call__(self, phase: str, info: dict) -> None:
-        if info.get("generation") != 2:
+        if info.get("generation") != 2 or GcPauses.explicit:
             return
         if phase == "start":
             self._started = time.perf_counter()

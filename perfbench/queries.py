@@ -1,8 +1,8 @@
 """The 23 XMark queries of Figure 15 and the benchmark's workloads.
 
 The texts are the engine's Figure 15 suite (the XMark queries adapted to
-the paper's XQuery fragment), kept here so the benchmark's inputs do not
-change when the engine's copy does.
+the paper's XQuery fragment) as of commit f2ad235, kept here so the
+benchmark's inputs do not change when the engine's copy does.
 """
 
 from __future__ import annotations

@@ -314,7 +314,7 @@ class Reference:
 
 def reference_summaries(xml_text: str, queries: List[str]) -> dict:
     reference = Reference(xml_text)
-    return {q: summarize(q, reference.run(q)) for q in queries}
+    return {q: summarize(reference.run(q)) for q in queries}
 
 
 def main(argv: List[str] = None) -> int:

@@ -1,10 +1,13 @@
 """One benchmark for the TLC engine: XMark query suites and a service mix.
 
-    python3 perfbench/run.py --workload xmark-core --seed 20040613 \\
-        --seconds 15 --trace 0
+    python3 perfbench/run.py --workload let-count --seed 1 \\
+        --seconds 28 --trace 0
 
 ``--workload`` is ``xmark-core``, ``let-count``, ``service-mix`` or
-``all`` (each workload in its own child process).  ``--trace 0`` prints
+``all`` (each workload in its own child process).  The document is
+XMark at factor 0.05 from ``--xmark-seed`` (20040613 by default);
+``--seed`` seeds the request sequence of ``service-mix``, and the serial
+workloads run the same passes for every seed.  ``--trace 0`` prints
 the end-to-end metrics of an untraced run, ``--trace 1`` the per-layer
 metrics of a traced run together with the tracing overhead.  The last
 line of standard output is one JSON object with the keys ``correct``,
@@ -29,14 +32,14 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
 import layers  # noqa: E402
-from check import summarize  # noqa: E402
+from check import summarize, verdict  # noqa: E402
 from queries import QUERIES, WORKLOADS  # noqa: E402
 from xmark import generate_xml  # noqa: E402
 
@@ -44,7 +47,7 @@ FACTOR = 0.05
 DEFAULT_SEED = 20040613
 DOC = "auction.xml"
 #: set-ups per run; setup_s is their median
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 #: closed-loop clients of service-mix, one per core of the reference box
 CLIENTS = 2
 #: operator classes whose tracer self-time is reported
@@ -120,14 +123,19 @@ class Verifier:
             else:
                 entry[1] += 1
 
-    def mismatches(self) -> int:
-        """Operations whose output differs from the reference."""
-        wrong = 0
+    def mismatches(self) -> Tuple[int, int]:
+        """Operations whose output differs from the reference: all of them,
+        and those whose trees differ (not only their order)."""
+        differ = wrong = 0
         for (query, _), (xml, count) in self._seen.items():
-            if summarize(query, xml) != self.expected[query]:
-                log(f"{query}: output differs from the reference")
+            kind = verdict(summarize(xml), self.expected[query])
+            if kind == "same":
+                continue
+            log(f"{query}: output differs from the reference in {kind}")
+            differ += count
+            if kind == "content":
                 wrong += count
-        return wrong
+        return differ, wrong
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +176,15 @@ def self_peak_mb() -> float:
 # set-up and the measured loops
 # ---------------------------------------------------------------------------
 def settle() -> None:
-    """One full collection, outside the timed regions, so each set-up and
-    each pass starts from the same collector state; the collector is
-    otherwise left as configured and its pauses stay in the figures."""
-    gc.collect()
+    """One full collection, outside the timed regions, so each set-up, each
+    serial query and each service loop starts from the same collector
+    state; the collector is otherwise left as configured and its pauses
+    stay in the figures."""
+    layers.GcPauses.explicit = True
+    try:
+        gc.collect()
+    finally:
+        layers.GcPauses.explicit = False
 
 
 def start_service(engine):
@@ -232,20 +245,19 @@ def serial_loop(engine, names: List[str], seconds: float,
                 on_result: Optional[Callable] = None) -> Window:
     """Whole passes over ``names`` until ``seconds`` of passes have run.
 
-    The first pass starts from a settled collector (see :func:`settle`).
-    When a pass takes more than half the run, there are at most two and
-    their median is their mean, which cannot set aside a pass a
-    collection happened to land on; then every pass starts settled.
+    Every query starts from a collected heap (see :func:`settle`), so the
+    collections that land on it are the ones its own allocations set off,
+    not the ones its predecessors left due.  A pass's time is the sum of
+    its queries' times.
     """
     window = Window(names)
     while window.seconds < seconds:
-        if not window.passes or window.passes[0] > seconds / 2:
-            settle()
-        cpu0 = self_cpu_s()
-        pass_started = time.perf_counter()
+        elapsed = 0.0
         for name in names:
             window.attempted += 1
-            query_started = time.perf_counter()
+            settle()
+            cpu0 = self_cpu_s()
+            started = time.perf_counter()
             try:
                 result = engine.run(QUERIES[name], optimize=True, trace=trace)
                 xml = result.to_xml()
@@ -253,15 +265,17 @@ def serial_loop(engine, names: List[str], seconds: float,
                 window.failed += 1
                 log(f"{name} failed: {exc!r}")
                 continue
-            window.latencies[name].append(time.perf_counter() - query_started)
+            finally:
+                took = time.perf_counter() - started
+                window.cpu_s += self_cpu_s() - cpu0
+                elapsed += took
+            window.latencies[name].append(took)
             if on_result is not None:
                 on_result(name, result, xml)
             verifier.record(name, xml)
             del result, xml
-        elapsed = time.perf_counter() - pass_started
         window.passes.append(elapsed)
         window.seconds += elapsed
-        window.cpu_s += self_cpu_s() - cpu0
     return window
 
 
@@ -327,41 +341,18 @@ def p95(values: List[float]) -> float:
     return statistics.quantiles(values, n=20, method="inclusive")[18]
 
 
-def time_weighted(values: List[float], share: float) -> float:
-    """The value at which ``share`` of the total of ``values`` is reached,
-    counting from the smallest."""
-    ordered = sorted(values)
-    target, running = share * sum(ordered), 0.0
-    for value in ordered:
-        running += value
-        if running >= target:
-            return value
-    return ordered[-1]
-
-
-def headline(window: Window, serial: bool) -> Dict[str, float]:
-    """pass_s, query_ms_geomean, queries_per_s and latency percentiles.
-
-    The service mix has many requests per query and takes its percentiles
-    over every request.  A serial workload runs a handful of distinct
-    queries, whose plain median falls in a gap between fast and slow
-    queries and jumps across it from run to run; its percentiles are time
-    weighted instead: the per-query median latency at which half (95%) of
-    a pass's time has been spent, counting from the fastest query.
-    """
+def headline(window: Window) -> Dict[str, float]:
+    """pass_s, query_ms_geomean, queries_per_s and latency percentiles
+    over every query completed."""
     medians = [statistics.median(v) for v in window.latencies.values() if v]
-    if serial:
-        median, tail = time_weighted(medians, 0.5), time_weighted(medians, 0.95)
-    else:
-        every = [x for values in window.latencies.values() for x in values]
-        median, tail = statistics.median(every), p95(every)
+    every = [x for values in window.latencies.values() for x in values]
     return {
         "pass_s": statistics.median(window.passes),
         "query_ms_geomean": 1000.0 * math.exp(
             statistics.fmean(math.log(m) for m in medians)),
         "queries_per_s": window.completed / window.seconds,
-        "req_p50_ms": 1000.0 * median,
-        "req_p95_ms": 1000.0 * tail,
+        "req_p50_ms": 1000.0 * statistics.median(every),
+        "req_p95_ms": 1000.0 * p95(every),
     }
 
 
@@ -389,10 +380,11 @@ def layer_unit(name: str) -> str:
 # ---------------------------------------------------------------------------
 # the two kinds of run
 # ---------------------------------------------------------------------------
-def timed_run(repro, workload: str, seed: int, seconds: float):
+def timed_run(repro, workload: str, seed: int, xmark_seed: int,
+              seconds: float):
     names = WORKLOADS[workload]
-    verifier = Verifier(reference(seed, names))
-    text = generate_xml(FACTOR, seed)
+    verifier = Verifier(reference(xmark_seed, names))
+    text = generate_xml(FACTOR, xmark_seed)
     engine, service, pids, setup_s = set_up(repro, workload, text)
     try:
         if service is None:
@@ -404,12 +396,10 @@ def timed_run(repro, workload: str, seed: int, seconds: float):
         if service is not None:
             service.close()
     values = {"setup_s": setup_s}
-    values.update(headline(window, service is None))
+    values.update(headline(window))
     values["cpu_ms_per_query"] = 1000.0 * window.cpu_s / window.completed
     values["peak_rss_mb"] = peak
-    samples = (f"time weighted, {len(names)} query medians over "
-               f"{len(window.passes)} passes" if service is None
-               else f"n={window.completed}")
+    samples = f"n={window.completed}"
     notes = {"req_p50_ms": samples, "req_p95_ms": samples}
     metrics = {k: (values[k], E2E_UNITS[k]) for k in E2E_UNITS}
     return window, verifier, metrics, notes
@@ -538,7 +528,8 @@ def traced_service(engine, service, pids, seed, seconds, verifier, timer,
     return seen
 
 
-def traced_run(repro, workload: str, seed: int, seconds: float):
+def traced_run(repro, workload: str, seed: int, xmark_seed: int,
+               seconds: float):
     """Per-layer metrics and the tracing overhead, on one set-up.
 
     The run's seconds are split between an untraced and a traced loop.
@@ -546,8 +537,8 @@ def traced_run(repro, workload: str, seed: int, seconds: float):
     from repro.storage import database
 
     names = WORKLOADS[workload]
-    verifier = Verifier(reference(seed, names))
-    text = generate_xml(FACTOR, seed)
+    verifier = Verifier(reference(xmark_seed, names))
+    text = generate_xml(FACTOR, xmark_seed)
     values: Dict[str, float] = {}
     with layers.CallTimer() as timer:
         timer.wrap(database, "parse_xml", "storage.parse")
@@ -579,8 +570,8 @@ def traced_run(repro, workload: str, seed: int, seconds: float):
     values["model.result_bytes"] = seen.result_bytes / seen.passes
     values["gc.gen2_collections"] = seen.pauses.collections / seen.passes
     values["gc.pause_s"] = seen.pauses.pause_s / seen.passes
-    plain = headline(seen.plain, serial)
-    traced = headline(seen.traced, serial)
+    plain = headline(seen.plain)
+    traced = headline(seen.traced)
     values["trace.overhead_pass_s"] = traced["pass_s"] - plain["pass_s"]
     values["trace.overhead_queries_per_s"] = (
         traced["queries_per_s"] - plain["queries_per_s"])
@@ -594,20 +585,28 @@ def traced_run(repro, workload: str, seed: int, seconds: float):
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
-def run_one(workload: str, seed: int, seconds: float, trace: bool) -> dict:
+def run_one(workload: str, seed: int, xmark_seed: int, seconds: float,
+            trace: bool) -> dict:
+    """One run.  Every output that differs from the reference counts as a
+    failed operation.  ``correct`` is false when an output holds other
+    trees than the reference's; one that holds the same trees in another
+    order (the engine's known order fault, see README.md) leaves it true."""
     repro = import_engine()
     run = traced_run if trace else timed_run
-    window, verifier, metrics, notes = run(repro, workload, seed, seconds)
-    wrong = verifier.mismatches()
+    window, verifier, metrics, notes = run(
+        repro, workload, seed, xmark_seed, seconds)
+    differ, wrong = verifier.mismatches()
+    failed = window.failed + differ
     for name, (value, unit) in metrics.items():
         note = f"  ({notes[name]})" if name in notes else ""
         print(f"{workload:12s} {name:34s} {value:14.6f} {unit}{note}")
-    print(f"{workload:12s} attempted {window.attempted}, "
-          f"failed {window.failed + wrong}")
+    print(f"{workload:12s} attempted {window.attempted}, failed {failed} "
+          f"({differ} outputs differ from the reference, {wrong} of them "
+          f"in content)")
     return {
         "correct": wrong == 0,
         "attempted": window.attempted,
-        "failed": window.failed + wrong,
+        "failed": failed,
         "metrics": {
             name: {"value": value, "unit": unit}
             for name, (value, unit) in metrics.items()
@@ -620,7 +619,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="TLC engine benchmark (see perfbench/README.md)")
     parser.add_argument("--workload", required=True,
                         choices=sorted(WORKLOADS) + ["all"])
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed of the service-mix request sequence")
+    parser.add_argument("--xmark-seed", type=int, default=DEFAULT_SEED,
+                        help="seed of the XMark document generator")
     parser.add_argument("--seconds", type=float, default=28.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--record", metavar="FILE",
@@ -630,19 +632,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         status = 0
         for workload in WORKLOADS:
             command = [sys.executable, __file__, "--workload", workload,
-                       "--seed", str(args.seed), "--seconds", str(args.seconds),
+                       "--seed", str(args.seed),
+                       "--xmark-seed", str(args.xmark_seed),
+                       "--seconds", str(args.seconds),
                        "--trace", str(args.trace)]
             if args.record:
                 command += ["--record", args.record]
             status = subprocess.run(command).returncode or status
         return status
-    result = run_one(args.workload, args.seed, args.seconds, bool(args.trace))
+    result = run_one(args.workload, args.seed, args.xmark_seed, args.seconds,
+                     bool(args.trace))
     if args.record:
         Path(args.record).parent.mkdir(parents=True, exist_ok=True)
         with open(args.record, "a") as handle:
             handle.write(json.dumps({
                 "workload": args.workload, "seed": args.seed,
-                "trace": args.trace, "result": result,
+                "xmark_seed": args.xmark_seed, "trace": args.trace,
+                "result": result,
             }) + "\n")
     print(json.dumps(result), flush=True)
     return 0

@@ -1,7 +1,10 @@
 """Seeded XMark-shaped auction document, generated as XML text.
 
 The benchmark owns its input generator, so the document a seed names
-does not change when the engine's own generator does.  The element
+does not change when the engine's own generator does.  It is a copy of
+the engine's ``src/repro/xmark/generator.py`` as of commit f2ad235, and
+wrote the same text as ``XMarkGenerator(factor, seed).generate_xml()``
+there; nothing keeps the two in step afterwards.  The element
 ratios, optional-element probabilities and value distributions follow
 the engine's synthetic XMark schema (XMark factor 1 = 25500 persons,
 12000 open auctions, 9750 closed auctions, 21750 items, 1000
